@@ -86,6 +86,13 @@ class TelemetryStore:
         # (Separate *processes* write separate segment files instead —
         # see TelemetrySession.segment.)
         self._append_lock = threading.Lock()
+        # append's duplicate check reads index.jsonl incrementally: the
+        # run ids seen so far, plus the inode and byte offset of the
+        # index they were read up to. Only ids are kept, so the memory
+        # cost stays one short string per record.
+        self._seen_ids: set[str] = set()
+        self._seen_inode: int | None = None
+        self._seen_offset = 0
 
     # ------------------------------------------------------------------
     # Writing
@@ -103,16 +110,47 @@ class TelemetryStore:
         if not isinstance(record, dict):
             record.run_id = run_id
         with self._append_lock:
-            if self._find(run_id) is not None:
+            self._catch_up()
+            if run_id in self._seen_ids:
                 return run_id
             self.segments_dir.mkdir(parents=True, exist_ok=True)
             segment_name = f"{_safe_segment(segment)}.jsonl"
-            with open(self.segments_dir / segment_name, "a") as handle:
-                handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            with open(self.index_path, "a") as handle:
-                handle.write(json.dumps(_index_line(payload, segment_name),
-                                        sort_keys=True) + "\n")
+            _append_line(self.segments_dir / segment_name,
+                         json.dumps(payload, sort_keys=True))
+            _append_line(self.index_path,
+                         json.dumps(_index_line(payload, segment_name),
+                                    sort_keys=True))
         return run_id
+
+    def _catch_up(self) -> None:
+        """Fold index lines appended since the last call (by any
+        process) into ``_seen_ids``.
+
+        Reads only complete lines: a torn tail is left for a later call,
+        by which time the next writer has ended it. A new inode or a
+        shorter file means :meth:`gc` rewrote the index, so it is read
+        again from the start.
+        """
+        try:
+            handle = open(self.index_path, "rb")
+        except FileNotFoundError:
+            self._seen_ids.clear()
+            self._seen_inode, self._seen_offset = None, 0
+            return
+        with handle:
+            stat = os.fstat(handle.fileno())
+            if stat.st_ino != self._seen_inode \
+                    or stat.st_size < self._seen_offset:
+                self._seen_ids.clear()
+                self._seen_inode, self._seen_offset = stat.st_ino, 0
+            if stat.st_size == self._seen_offset:
+                return
+            handle.seek(self._seen_offset)
+            chunk = handle.read()
+        complete = chunk.rfind(b"\n") + 1
+        for entry in _parse_lines(chunk[:complete].splitlines()):
+            self._seen_ids.add(entry.get("run_id"))
+        self._seen_offset += complete
 
     # ------------------------------------------------------------------
     # Reading
@@ -121,17 +159,12 @@ class TelemetryStore:
         """Every index line, oldest first ([] for a fresh store)."""
         if not self.index_path.exists():
             return []
-        lines = []
-        with open(self.index_path) as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if raw:
-                    lines.append(json.loads(raw))
-        return lines
+        with open(self.index_path, "rb") as handle:
+            return list(_parse_lines(handle))
 
     def get(self, run_id: str):
         """The full record for a run id (unique prefixes accepted)."""
-        entry = self._find(run_id, prefix=True)
+        entry = self._find(run_id)
         if entry is None:
             raise TelemetryStoreError(f"no run {run_id!r} in {self.root}")
         for payload in self._segment_payloads(entry["segment"]):
@@ -231,11 +264,12 @@ class TelemetryStore:
 
     # ------------------------------------------------------------------
 
-    def _find(self, run_id: str, prefix: bool = False) -> dict | None:
+    def _find(self, run_id: str) -> dict | None:
+        """The index entry for a run id or a unique prefix of one."""
         matches = []
         for entry in self.index():
             stored = entry.get("run_id", "")
-            if stored == run_id or (prefix and stored.startswith(run_id)):
+            if stored.startswith(run_id):
                 matches.append(entry)
                 if stored == run_id:
                     return entry
@@ -252,11 +286,36 @@ class TelemetryStore:
         path = self.segments_dir / segment
         if not path.exists():
             return
-        with open(path) as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if raw:
-                    yield json.loads(raw)
+        with open(path, "rb") as handle:
+            yield from _parse_lines(handle)
+
+
+def _parse_lines(lines):
+    """The JSON objects among ``lines``; blank and unparseable lines
+    (a writer killed mid-line leaves one) are skipped."""
+    for raw in lines:
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            entry = json.loads(raw)
+        except ValueError:
+            continue
+        if isinstance(entry, dict):
+            yield entry
+
+
+def _append_line(path: Path, text: str) -> None:
+    """Append one line to ``path``. When the file does not end in a
+    newline (a writer was killed mid-line), the torn tail is ended
+    first so this line stays whole."""
+    with open(path, "a+b") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        torn = False
+        if size:
+            handle.seek(size - 1)
+            torn = handle.read(1) != b"\n"
+        handle.write((b"\n" if torn else b"") + text.encode() + b"\n")
 
 
 def _safe_segment(name: str) -> str:

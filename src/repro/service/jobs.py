@@ -13,9 +13,26 @@ the scheduler to reach the pool directly for batching.
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 
 from repro.service.protocol import JobRequest, ServiceError
+
+#: Most compiled programs a process keeps unpickled for
+#: :func:`simulate_row`. Below ``repro.sim.plan.PLAN_CACHE_LIMIT``, so the
+#: plan of every program held here can stay cached too. Warm requests get
+#: the same program (and graph) back, so ``plan_for`` hits instead of
+#: re-planning a freshly unpickled graph. Read dynamically (tests shrink
+#: it via monkeypatch).
+ARTIFACT_CACHE_LIMIT = 16
+
+# (cache root, compile key) -> CompiledProgram, least recently used first.
+# Artifacts are content-addressed, so an entry is exactly what
+# CompilationCache.get would return; simulation only reads the program,
+# its graph and its plan, so sim threads may share one entry.
+_ARTIFACTS: "OrderedDict[tuple[str, str], object]" = OrderedDict()
+_ARTIFACTS_LOCK = threading.Lock()
 
 
 @contextmanager
@@ -96,15 +113,9 @@ def simulate_row(cache_root: str, key: str, args: list, memsys_name: str,
     way here is external cache eviction) — raising ServiceError makes
     the scheduler report it terminally instead of retrying.
     """
-    from repro.pipeline.cache import CompilationCache
     from repro.sim.memsys import MemorySystem, named_system
 
-    cache = CompilationCache(cache_root)
-    program = cache.get(key)
-    if program is None:
-        raise ServiceError(f"artifact {key[:12]} vanished from the cache "
-                           f"at {cache_root} (evicted between compile "
-                           f"and simulate?)")
+    program = _artifact(cache_root, key)
     result = program.simulate(
         list(args),
         memsys=MemorySystem(named_system(memsys_name)),
@@ -122,3 +133,26 @@ def simulate_row(cache_root: str, key: str, args: list, memsys_name: str,
         "memsys": memsys_name,
         "engine": engine or "compiled",
     }
+
+
+def _artifact(cache_root: str, key: str):
+    """The compiled program for ``key``, from the in-process LRU or the
+    artifact cache on disk."""
+    from repro.pipeline.cache import CompilationCache
+
+    slot = (cache_root, key)
+    with _ARTIFACTS_LOCK:
+        program = _ARTIFACTS.get(slot)
+        if program is None:
+            program = CompilationCache(cache_root).get(key)
+            if program is None:
+                raise ServiceError(
+                    f"artifact {key[:12]} vanished from the cache at "
+                    f"{cache_root} (evicted between compile and "
+                    f"simulate?)")
+            _ARTIFACTS[slot] = program
+            while len(_ARTIFACTS) > ARTIFACT_CACHE_LIMIT:
+                _ARTIFACTS.popitem(last=False)
+        else:
+            _ARTIFACTS.move_to_end(slot)
+    return program

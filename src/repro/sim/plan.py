@@ -38,6 +38,7 @@ interpreter remains the executable specification.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 from repro.errors import SimulationError
@@ -303,6 +304,10 @@ class SimPlan:
 PLAN_CACHE_LIMIT = 64
 
 _PLANS: "OrderedDict[int, SimPlan]" = OrderedDict()
+# Sim threads of one process (``repro serve``) share the cache: a lookup,
+# its LRU bump and any eviction must be one step, or another thread can
+# evict the key between ``get`` and ``move_to_end``.
+_PLANS_LOCK = threading.Lock()
 
 
 def plan_for(graph: Graph) -> SimPlan:
@@ -314,23 +319,27 @@ def plan_for(graph: Graph) -> SimPlan:
     graphs mutated by optimization passes are re-planned on next use.
     """
     key = id(graph)
-    plan = _PLANS.get(key)
-    # The identity guard (`plan.graph is graph`) defends against id()
-    # reuse after a previously-cached graph was garbage collected.
-    if plan is None or plan.graph is not graph \
-            or plan.version != graph.version:
-        plan = SimPlan(graph)
-        _PLANS[key] = plan
-        while len(_PLANS) > PLAN_CACHE_LIMIT:
-            _PLANS.popitem(last=False)
-    else:
-        _PLANS.move_to_end(key)
+    with _PLANS_LOCK:
+        plan = _PLANS.get(key)
+        # The identity guard (`plan.graph is graph`) defends against id()
+        # reuse after a previously-cached graph was garbage collected.
+        if plan is None or plan.graph is not graph \
+                or plan.version != graph.version:
+            # Built under the lock, so threads racing on one graph share
+            # one plan.
+            plan = SimPlan(graph)
+            _PLANS[key] = plan
+            while len(_PLANS) > PLAN_CACHE_LIMIT:
+                _PLANS.popitem(last=False)
+        else:
+            _PLANS.move_to_end(key)
     return plan
 
 
 def invalidate_plan(graph: Graph) -> None:
     """Drop the cached plan for ``graph`` (mutation done behind its back)."""
-    _PLANS.pop(id(graph), None)
+    with _PLANS_LOCK:
+        _PLANS.pop(id(graph), None)
 
 
 def plan_cache_info() -> tuple[int, int]:
@@ -340,4 +349,5 @@ def plan_cache_info() -> tuple[int, int]:
 
 def clear_plan_cache() -> None:
     """Empty the plan cache (releases plans and their generated modules)."""
-    _PLANS.clear()
+    with _PLANS_LOCK:
+        _PLANS.clear()

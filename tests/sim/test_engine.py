@@ -355,6 +355,38 @@ class TestPlanCacheLifecycle:
         assert module() is None, \
             "evicted plan kept its generated module alive"
 
+    def test_concurrent_eviction_is_safe(self, monkeypatch):
+        """Sim threads of one process share the cache. With room for a
+        single plan, threads on two graphs keep evicting each other's
+        plan; a lookup, its LRU bump and an eviction must not interleave
+        (a hit evicted before its bump used to raise KeyError)."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        monkeypatch.setattr(plan_mod, "PLAN_CACHE_LIMIT", 1)
+        plan_mod.clear_plan_cache()
+        programs = self._programs(2)
+        expected = [program.run_sequential([5]).return_value
+                    for program in programs]
+
+        def worker(index):
+            program = programs[index % 2]
+            values = []
+            for step in range(20000):
+                plan_for(program.graph)
+                if step % 4000 == 0:
+                    values.append(program.simulate([5]).return_value)
+            return values
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = list(pool.map(worker, range(8)))
+        finally:
+            sys.setswitchinterval(previous)
+        for index, values in enumerate(outcomes):
+            assert values == [expected[index % 2]] * 5
+
 
 class TestBatchedExecution:
     """simulate_batch vs a serial loop: same results, any engine."""
