@@ -22,7 +22,6 @@ from repro.harness.cache import (
     KernelCompilation,
     compile_source_cached,
     compiled,
-    warm,
 )
 
-__all__ = ["KernelCompilation", "compile_source_cached", "compiled", "warm"]
+__all__ = ["KernelCompilation", "compile_source_cached", "compiled"]

@@ -102,28 +102,6 @@ def compile_source_cached(source: str, entry: str, level: str = "full", *,
     return program
 
 
-def warm(names=None, levels=("none", "medium", "full"), *,
-         parallel: bool = True) -> int:
-    """Pre-populate both cache layers for ``names`` × ``levels``.
-
-    Cold artifacts are compiled in parallel worker processes
-    (:mod:`repro.pipeline.parallel`); warm ones are just loaded.  Returns
-    the number of compilations now held in memory.
-    """
-    from repro.pipeline.parallel import compile_kernels
-
-    kernels = select_kernels(names)
-    programs = compile_kernels([k.name for k in kernels], levels,
-                               verify=HARNESS_VERIFY, parallel=parallel)
-    for (name, level), program in programs.items():
-        kernel = get_kernel(name)
-        config = _config(level, 0, None)
-        fingerprint = config.fingerprint(kernel.source, kernel.entry)
-        _MEMORY.setdefault(fingerprint, KernelCompilation(
-            kernel=kernel, program=program, level=level))
-    return len(programs)
-
-
 def clear_memory() -> None:
     """Drop the in-process layer (tests; the disk layer is untouched)."""
     _MEMORY.clear()

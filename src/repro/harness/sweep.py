@@ -5,10 +5,10 @@ Every harness in this package declares its work as a
 warm the on-disk cache, ``cell`` jobs measure, and one ``aggregate``
 collects the rows in declaration order. :func:`run_sweep` is the single
 execution entry point: it picks the executor (inline by default, the
-process pool under ``parallel=True``), routes runner-driven runs through
-the runner's scheduler policy (name-keyed journal, retries, wall limit),
-and re-raises job failures for plain calls so ``figure19()`` et al. keep
-their historical raise-through behavior.
+process pool under ``parallel=True``) and re-raises job failures so
+``figure19()`` et al. keep their historical raise-through behavior.
+Journaled, retried and degraded runs go through the same scheduler from
+:mod:`repro.orchestrate.sweeps` (``repro sweep run``).
 """
 
 from __future__ import annotations
@@ -51,42 +51,26 @@ def gather_row_lists(*, deps) -> list:
     return rows
 
 
-def run_sweep(dag: JobDAG, *, runner=None, parallel: bool = False,
-              max_workers: int | None = None, executor=None,
-              journal=None, retries: int = 0, backoff: float = 0.0,
-              wall_limit: float | None = None, resume: bool = True,
-              strict: bool | None = None) -> SweepResult:
-    """Execute one harness DAG under the appropriate policy.
+def run_sweep(dag: JobDAG, *, parallel: bool = False,
+              max_workers: int | None = None) -> SweepResult:
+    """Execute one harness DAG under the scheduler, raising on failure.
 
-    With ``runner`` (an :class:`~repro.resilience.harness.
-    ExperimentRunner`), the runner's scheduler runs the DAG — its
-    journal, retry budget, and wall limit apply, jobs are journaled by
-    *name* (so legacy checkpoint keys stay the resume identity), and the
-    measurement outcomes are absorbed into ``runner.outcomes``.
-
-    Without a runner, ``parallel=True`` selects the process-pool
-    executor (``max_workers`` caps it); otherwise jobs run inline.
-    ``strict`` controls failure handling: ``True`` re-raises the first
-    failed job's exception (the historical behavior of the plain figure
-    functions), ``False`` returns the degraded sweep for the caller to
-    report. Default: strict exactly when there is no runner and no
-    journal — ad-hoc calls raise, orchestrated runs degrade gracefully.
+    ``parallel=True`` runs the jobs on a process-pool executor
+    (``max_workers`` caps it) that is shut down before returning;
+    otherwise they run inline. The whole DAG drains first; then the
+    first failed job's exception is re-raised, so ``figure19()`` et al.
+    raise like plain functions. Journaled runs that should degrade
+    instead of raising are ``repro sweep run``.
     """
-    if runner is not None:
-        sweep = runner.scheduler(dag).run(resume=resume)
-        runner.absorb(sweep)
-        return sweep
-    if executor is None and parallel:
-        executor = make_executor("process", max_workers=max_workers)
-    scheduler = Scheduler(dag, executor=executor, journal=journal,
-                          retries=retries, backoff=backoff,
-                          wall_limit=wall_limit)
-    sweep = scheduler.run(resume=resume)
-    if strict is None:
-        strict = journal is None
-    if strict:
-        for name in sweep.order:
-            result = sweep.results[name]
-            if result.exception is not None:
-                raise result.exception
+    executor = (make_executor("process", max_workers=max_workers)
+                if parallel else None)
+    try:
+        sweep = Scheduler(dag, executor=executor).run()
+    finally:
+        if executor is not None:
+            executor.shutdown()
+    for name in sweep.order:
+        result = sweep.results[name]
+        if result.exception is not None:
+            raise result.exception
     return sweep

@@ -66,11 +66,10 @@ def build_dag(kernels=None) -> JobDAG:
     return dag
 
 
-def table2(kernels=None, runner=None, parallel=False,
+def table2(kernels=None, parallel=False,
            max_workers=None) -> list[Table2Row]:
     dag = build_dag(kernels)
-    sweep = run_sweep(dag, runner=runner, parallel=parallel,
-                      max_workers=max_workers)
+    sweep = run_sweep(dag, parallel=parallel, max_workers=max_workers)
     return sweep.value(AGGREGATE) or []
 
 

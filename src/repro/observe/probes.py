@@ -9,9 +9,12 @@ it. The contract is built for zero cost when observation is off:
   until a listener subscribes to it;
 - the simulator caches these attributes into locals at the start of
   ``run()`` and guards every hook site with a single ``is not None``
-  test — with no bus (or an empty bus) the instrumented path is
-  machine-identical to the uninstrumented one up to that test
-  (``benchmarks/bench_observe_overhead.py`` holds the line at 5%);
+  test; the compiled and codegen engines switch to their instrumented
+  (heap-scheduled) path only when a ``fire``/``emit``/``enqueue``/
+  ``dequeue`` hook has a listener, and the memory system is handed the
+  bus only when ``mem_access``/``lsq`` has one — so an empty bus runs
+  exactly the no-bus path (``benchmarks/bench_observe_overhead.py``
+  holds the line at 5%);
 - listeners therefore must subscribe **before** the simulation starts;
   subscribing mid-run is not observed.
 

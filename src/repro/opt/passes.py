@@ -206,14 +206,3 @@ def _fix_static_etas(ctx: OptContext) -> None:
                 continue
             boundary = relation.boundary[min(relation.boundary)]
             eta.add_trigger(ctx.graph, boundary)
-
-
-def _run_verified(pass_, ctx: OptContext) -> int:
-    changes = pass_.run(ctx)
-    try:
-        verify_graph(ctx.graph)
-    except PegasusError as error:
-        raise OptimizationError(
-            f"pass {pass_.name!r} broke the graph: {error}"
-        ) from error
-    return changes

@@ -22,10 +22,14 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 
 #: Pool rebuilds tolerated before PoolExecutor degrades to inline.
 MAX_POOL_DEATHS = 3
+#: Seconds between a pool worker's checks that its owner is still alive.
+OWNER_POLL_SECONDS = 0.5
 
 
 class Executor:
@@ -131,7 +135,9 @@ class PoolExecutor(Executor):
             try:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
-                    mp_context=self.mp_context)
+                    mp_context=self.mp_context,
+                    initializer=_exit_with_owner,
+                    initargs=(os.getpid(),))
             except (OSError, PermissionError, NotImplementedError,
                     ValueError):
                 # No process primitives (restricted sandbox).
@@ -187,6 +193,38 @@ class PoolExecutor(Executor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+
+
+def _exit_with_owner(owner: int) -> None:
+    """Pool-worker initializer: exit once the process owning the pool dies.
+
+    A pool is shut down by its owner, but an owner that is SIGKILLed
+    (a ``repro serve`` killed mid-request) never gets to. Its idle
+    workers then wait forever: each holds both ends of its call-queue
+    pipe, so no EOF arrives, and forkserver workers also keep the
+    forkserver and the resource tracker alive. A daemon thread in each
+    worker polls the owner instead — through the worker's parent pid
+    when the owner forked it, else through the owner's pid — and ends
+    the worker when the owner is gone.
+    """
+    forked = os.getppid() == owner
+
+    def watch() -> None:
+        while True:
+            time.sleep(OWNER_POLL_SECONDS)
+            if forked:
+                if os.getppid() == owner:
+                    continue
+            else:
+                try:
+                    os.kill(owner, 0)
+                    continue
+                except OSError:
+                    pass
+            os._exit(1)
+
+    threading.Thread(target=watch, name="repro-owner-watch",
+                     daemon=True).start()
 
 
 def make_executor(kind: str | Executor | None, *,

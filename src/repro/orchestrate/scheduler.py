@@ -171,17 +171,14 @@ class Scheduler:
     ``hard_grace`` seconds past its wall-limit has its worker reaped and
     is recorded ``timeout``. ``journal`` enables checkpoint/resume —
     resuming first folds any per-worker journal shards from a previous
-    distributed run into the main journal; ``key_by="name"`` journals by
-    job name instead of content key (the legacy-checkpoint compatibility
-    mode the :class:`~repro.resilience.harness.ExperimentRunner` adapter
-    uses).
+    distributed run into the main journal. Jobs are journaled by their
+    content key, so changed work is never replayed from an old entry.
     """
 
     def __init__(self, dag: JobDAG, executor: Executor | None = None,
                  journal: Journal | str | os.PathLike | None = None,
                  *, retries: int = 0, backoff: float = 0.0,
-                 wall_limit: float | None = None,
-                 key_by: str = "content", jitter_seed: int = 0,
+                 wall_limit: float | None = None, jitter_seed: int = 0,
                  hard_grace: float = 5.0, tags: dict | None = None):
         self.dag = dag
         #: Extra telemetry tags stamped on every job execution of this
@@ -198,10 +195,6 @@ class Scheduler:
         self.wall_limit = wall_limit
         self.jitter_seed = jitter_seed
         self.hard_grace = max(0.0, hard_grace)
-        if key_by not in ("content", "name"):
-            raise ValueError(f"key_by must be 'content' or 'name', "
-                             f"not {key_by!r}")
-        self.key_by = key_by
         kill_after = os.environ.get(KILL_AFTER_ENV)
         self._kill_after = int(kill_after) if kill_after else None
 
@@ -268,7 +261,7 @@ class Scheduler:
             for spec in order:
                 if spec.transient:
                     continue
-                key = self._key(spec)
+                key = spec.key
                 if self.journal.has_value(key):
                     entry = self.journal.get(key)
                     results[spec.name] = JobResult(
@@ -297,7 +290,7 @@ class Scheduler:
                                   else None for dep in spec.deps]
             wall_limit = (spec.wall_limit if spec.wall_limit is not None
                           else self.wall_limit)
-            meta = {"key": self._key(spec), "name": spec.name,
+            meta = {"key": spec.key, "name": spec.name,
                     "attempt": attempt, "dag": dag_id,
                     "wall_limit": wall_limit}
             if shard_dir is not None and not spec.transient \
@@ -328,7 +321,7 @@ class Scheduler:
                         result.elapsed)
             if self.journal is not None and not spec.transient \
                     and result.status != "resumed":
-                self.journal.record(self._key(spec), name=spec.name,
+                self.journal.record(spec.key, name=spec.name,
                                     status=result.status,
                                     value=result.value,
                                     attempts=result.attempts,
@@ -441,9 +434,6 @@ class Scheduler:
         finalize(spec, JobResult(
             status="error", error=f"{type(error).__name__}: {error}",
             exception=error, **base))
-
-    def _key(self, spec: JobSpec) -> str:
-        return spec.name if self.key_by == "name" else spec.key
 
     def _worker_session_spec(self) -> dict | None:
         """Ambient telemetry session, serialized for worker processes."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -461,8 +461,11 @@ def _sweep_run(options) -> int:
 
 
 def _render(sweep_def: SweepDef, sweep: SweepResult, options) -> str:
-    from repro.resilience.harness import JobOutcome
     rows = sweep.value(sweep_def.aggregate) or []
-    degraded = [JobOutcome.from_result(result) for result in sweep.degraded
-                if result.category == "cell"]
+    # The table footnotes a cell skipped behind a failed compile job as
+    # an error after 0 attempts (the job report above it says SKIPPED),
+    # keeping the rendered tables byte-stable across releases.
+    degraded = [replace(result, status="error")
+                if result.status == "skipped" else result
+                for result in sweep.degraded if result.category == "cell"]
     return sweep_def.render(rows, options.attribution, degraded)

@@ -9,9 +9,7 @@
 - :mod:`repro.pipeline.report` — :class:`CompilationReport`, per-stage and
   per-pass wall time, change counts, and IR-size deltas;
 - :mod:`repro.pipeline.cache` — :class:`CompilationCache`, the persistent
-  content-addressed artifact store;
-- :mod:`repro.pipeline.parallel` — process-parallel kernel compilation
-  over the shared cache.
+  content-addressed artifact store.
 """
 
 from repro.pipeline.config import (

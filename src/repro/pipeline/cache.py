@@ -9,10 +9,9 @@ the same kernel silently sharing one artifact — structurally impossible,
 and makes warm figure regeneration a matter of unpickling.
 
 Layout: ``<root>/ab/abcdef....pkl`` (two-hex-digit fan-out).  Writes are
-atomic (temp file + rename) so concurrent compilations — e.g. the
-``ProcessPoolExecutor`` workers of :mod:`repro.pipeline.parallel` — can
-share one cache directory without locking: last writer wins with an
-identical artifact.
+atomic (temp file + rename) so concurrent compilations — e.g. sweep
+compile jobs on the process-pool executor — can share one cache
+directory without locking: last writer wins with an identical artifact.
 
 The root is, in order: the explicit ``root`` argument, ``$REPRO_CACHE_DIR``,
 or ``~/.cache/repro-pegasus``.  Corrupt or unreadable entries are treated

@@ -113,6 +113,7 @@ def simulate_row(cache_root: str, key: str, args: list, memsys_name: str,
     way here is external cache eviction) — raising ServiceError makes
     the scheduler report it terminally instead of retrying.
     """
+    from repro.api import resolve_engine
     from repro.sim.memsys import MemorySystem, named_system
 
     program = _artifact(cache_root, key)
@@ -131,7 +132,7 @@ def simulate_row(cache_root: str, key: str, args: list, memsys_name: str,
         "stores": result.stores,
         "skipped_memops": result.skipped_memops,
         "memsys": memsys_name,
-        "engine": engine or "compiled",
+        "engine": resolve_engine(engine),
     }
 
 

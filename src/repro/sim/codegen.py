@@ -55,9 +55,12 @@ from repro.sim import latencies, ops
 from repro.sim import plan as planmod
 from repro.sim.dataflow import (
     DEFAULT_EVENT_LIMIT,
+    SIM_HOOKS,
     TOKEN,
     DataflowResult,
     _NodeState,
+    listens,
+    share_probes,
 )
 from repro.sim.engine import CompiledEngine, _CalendarQueue, _never
 from repro.sim.memsys import MemorySystem, PERFECT_MEMORY
@@ -592,11 +595,6 @@ class _Emitter:
                           "        fast_issue = memsys.perfect_issue()"]
                 break
             lines.append(f"        {name} = {literal}")
-        else:
-            pass
-        if not self.has_mem:
-            # run_cells loop above emitted every reset already.
-            pass
         for sid in sorted(self.sticky_used):
             lines.append(f"        s{sid} = sticky[{sid}]")
         for name, literal in self.cells:
@@ -732,20 +730,25 @@ class CodegenEngine(CompiledEngine):
     Drop-in compatible with :class:`~repro.sim.engine.CompiledEngine`
     (same constructor, introspection surface, errors, and bit-identical
     results). Instrumented runs need the interpreter's exact emit
-    bookkeeping, so constructing this class with ``probes`` or ``faults``
+    bookkeeping, so constructing this class with ``faults`` or a probe
+    bus listening to a ``fire``/``emit``/``enqueue``/``dequeue`` hook
     transparently returns a ``CompiledEngine`` on its heap path instead.
+    An empty bus, or one listening only to the memory system's hooks,
+    runs the generated module. The choice is made at construction, so
+    subscribe listeners before constructing the engine.
     """
 
     def __new__(cls, graph, memory=None, memsys=None,
                 event_limit=DEFAULT_EVENT_LIMIT, faults=None,
                 wall_limit=None, probes=None):
-        if faults is not None or probes is not None:
+        if faults is not None or listens(probes, SIM_HOOKS):
             return CompiledEngine(graph, memory=memory, memsys=memsys,
                                   event_limit=event_limit, faults=faults,
                                   wall_limit=wall_limit, probes=probes)
         return object.__new__(cls)
 
     def run(self, args: list[object] | None = None) -> DataflowResult:
+        share_probes(self.memsys, self.probes)
         state = {node.id: _NodeState(node) for node in self.graph}
         runner = generated_for(self.plan).make_runner(state)
         return self._execute(state, runner, args)

@@ -42,6 +42,31 @@ TOKEN = object()  # the single token value
 
 DEFAULT_EVENT_LIMIT = 100_000_000
 
+#: Probe hooks the simulators call per event; a listener on any of them
+#: needs the executors' instrumented (sequence-keyed heap) path.
+SIM_HOOKS = ("fire", "emit", "enqueue", "dequeue")
+#: Probe hooks the memory system calls per access.
+MEM_HOOKS = ("mem_access", "lsq")
+
+
+def listens(probes, hooks) -> bool:
+    """True when the probe bus ``probes`` has a listener on any of
+    ``hooks``; an empty bus (or none) listens to nothing."""
+    return probes is not None and any(
+        getattr(probes, hook, None) is not None for hook in hooks)
+
+
+def share_probes(memsys, probes) -> None:
+    """Hand ``probes`` to ``memsys`` when it listens to a memory hook.
+
+    A bus without ``mem_access``/``lsq`` listeners stays off the memory
+    system, so perfect memory keeps its direct-issue path
+    (:meth:`~repro.sim.memsys.MemorySystem.perfect_issue`).
+    """
+    if getattr(memsys, "probes", None) is None \
+            and listens(probes, MEM_HOOKS):
+        memsys.probes = probes
+
 
 @dataclass
 class DataflowResult:
@@ -145,8 +170,7 @@ class DataflowSimulator:
             self._p_emit = self.probes.emit
             self._p_enqueue = self.probes.enqueue
             self._p_dequeue = self.probes.dequeue
-            if getattr(self.memsys, "probes", None) is None:
-                self.memsys.probes = self.probes
+        share_probes(self.memsys, self.probes)
         for node in self.graph:
             self._state[node.id] = _NodeState(node)
             if isinstance(node, N.SymbolAddrNode):

@@ -22,12 +22,14 @@ Where the time goes, and what the engine does about it:
   every event lands within a few cycles of "now"), spilling to ``heapq``
   for far-future ones.
 
-Observability and fault injection re-specialize the run: with a probe bus
-or an injector attached the engine keeps per-event sequence numbers and a
-plain heap (reorder keys and the probe contract are defined in terms of
-the interpreter's emit order) and the closures invoke the same
-``fire``/``emit``/``enqueue``/``dequeue`` hooks with the same None-guard
-contract. Without them, closures skip straight to the queues.
+Observability and fault injection re-specialize the run: with a listener
+on a ``fire``/``emit``/``enqueue``/``dequeue`` probe hook or an injector
+attached, the engine keeps per-event sequence numbers and a plain heap
+(reorder keys and the probe contract are defined in terms of the
+interpreter's emit order) and the closures invoke the same hooks with the
+same None-guard contract. Without them — no bus, an empty bus, or one
+listening only to the memory system's hooks — closures skip straight to
+the queues.
 
 The engine exposes the interpreter's introspection surface — ``graph``,
 ``probes``, ``_state``, ``_sticky``, ``_sticky_nodes``, ``_now``,
@@ -51,9 +53,12 @@ from repro.pegasus.graph import Graph, OutPort
 from repro.sim import latencies, ops
 from repro.sim.dataflow import (
     DEFAULT_EVENT_LIMIT,
+    SIM_HOOKS,
     TOKEN,
     DataflowResult,
     _NodeState,
+    listens,
+    share_probes,
 )
 from repro.sim.memory_image import MemoryImage
 from repro.sim.memsys import MemorySystem, PERFECT_MEMORY
@@ -228,8 +233,7 @@ class CompiledEngine:
             p_emit = probes.emit
             p_enqueue = probes.enqueue
             p_dequeue = probes.dequeue
-            if getattr(memsys, "probes", None) is None:
-                memsys.probes = probes
+        share_probes(memsys, probes)
 
         state = {node.id: _NodeState(node) for node in graph}
         self._state = state
@@ -243,7 +247,7 @@ class CompiledEngine:
         # (sequence numbers feed reorder keys; probe hooks see the same
         # call order); fast runs use the calendar queue with no per-event
         # metadata at all.
-        slow = inject is not None or probes is not None
+        slow = inject is not None or listens(probes, SIM_HOOKS)
         if slow:
             events: list = []
             heappush = heapq.heappush

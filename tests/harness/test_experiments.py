@@ -4,8 +4,8 @@ import pytest
 
 from repro.harness import loc, section2, table2, fig18, fig19
 from repro.harness.cache import DEFAULT_SUBSET, compiled, select_kernels
+from repro.orchestrate.scheduler import FLAKE_ENV, Scheduler
 from repro.programs import all_kernels
-from repro.resilience.harness import ExperimentRunner, JobOutcome
 
 
 class TestCache:
@@ -81,56 +81,68 @@ class TestFig19:
 
 
 class TestHardenedHarness:
-    """Figure runs survive wedged kernels and resume from checkpoints."""
+    """Figure sweeps journal, resume, and render failing cells DEGRADED."""
 
     def test_fig18_with_runner(self, tmp_path):
-        runner = ExperimentRunner(checkpoint=tmp_path / "fig18.ckpt")
-        (row,) = fig18.figure18(kernels=("li",), runner=runner)
+        journal = tmp_path / "fig18.journal"
+        first = Scheduler(fig18.build_dag(kernels=("li",)),
+                          journal=journal).run()
+        (row,) = first.value(fig18.AGGREGATE)
         assert row.name == "li"
-        # Same checkpoint: the row replays without resimulating.
-        resumed = ExperimentRunner(checkpoint=tmp_path / "fig18.ckpt")
-        (row_again,) = fig18.figure18(kernels=("li",), runner=resumed)
-        assert resumed.outcomes[0].status == "resumed"
-        assert row_again == row
+        # Same journal: the row replays without resimulating.
+        again = Scheduler(fig18.build_dag(kernels=("li",)),
+                          journal=journal).run()
+        assert again["fig18/li"].status == "resumed"
+        assert again.value(fig18.AGGREGATE) == [row]
 
-    def test_fig19_job_keys_name_kernel_and_memsys(self, tmp_path):
-        runner = ExperimentRunner(checkpoint=tmp_path / "fig19.ckpt")
-        fig19.figure19(kernels=("li",),
-                       memory_systems=(fig19.MEMORY_SYSTEMS[0],),
-                       runner=runner)
-        assert runner.outcomes[0].key == "fig19/li/perfect"
+    def test_fig19_job_keys_name_kernel_and_memsys(self):
+        dag = fig19.build_dag(kernels=("li",),
+                              memory_systems=(fig19.MEMORY_SYSTEMS[0],))
+        cells = [spec.name for spec in dag if spec.category == "cell"]
+        assert cells == ["fig19/li/perfect"]
 
     def test_section2_with_runner(self):
-        runner = ExperimentRunner()
-        result = section2.section2(runner=runner)
-        assert result.loads_removed == 1
-        assert runner.outcomes[0].key == "section2"
+        sweep = Scheduler(section2.build_dag()).run()
+        assert sweep.order == ["section2"]
+        assert sweep.value("section2").loads_removed == 1
 
-    def test_degraded_rows_render_instead_of_aborting(self):
-        runner = ExperimentRunner()
-        runner.outcomes.append(JobOutcome(key="fig18/go", status="timeout",
-                                          error="wall limit", attempts=1))
-        text = fig18.render(kernels=(), runner=runner)
-        assert "DEGRADED" in text
-        assert "degraded fig18/go: TIMEOUT" in text
+    @staticmethod
+    def _sweep_run(sweep, flake, tmp_path, monkeypatch, capsys):
+        """``repro sweep run`` with the first attempt of every job
+        matching ``flake`` failing and no retries left to absorb it."""
+        from repro.orchestrate.sweeps import sweep_main
+        monkeypatch.setenv(FLAKE_ENV, flake)
+        argv = ["run", sweep, "--retries", "0",
+                "--journal", str(tmp_path / f"{sweep}.journal")]
+        if sweep != "section2":
+            argv += ["--kernels", "li"]
+        code = sweep_main(argv)
+        return code, capsys.readouterr().out
 
-    def test_fig19_degraded_render(self):
-        runner = ExperimentRunner()
-        runner.outcomes.append(JobOutcome(key="fig19/go/perfect",
-                                          status="error", error="deadlock",
-                                          attempts=1))
-        text = fig19.render(kernels=(), runner=runner)
-        assert "DEGRADED" in text
-        assert "degraded fig19/go/perfect" in text
+    def test_degraded_rows_render_instead_of_aborting(
+            self, tmp_path, monkeypatch, capsys):
+        code, out = self._sweep_run("fig18", "fig18/li", tmp_path,
+                                    monkeypatch, capsys)
+        assert code == 1
+        (row,) = [line for line in out.splitlines()
+                  if line.startswith("li ")]
+        assert row.split()[1:] == ["DEGRADED"] + ["-"] * 6
+        assert ("degraded fig18/li: ERROR after 1 attempt: OSError: "
+                "injected transient flake for fig18/li") in out
 
-    def test_section2_degraded_render(self, monkeypatch):
-        from repro.errors import ReproError
+    def test_fig19_degraded_render(self, tmp_path, monkeypatch, capsys):
+        # A failed compile skips every cell of the kernel; each renders
+        # as a DEGRADED row footnoted as an error with no attempts.
+        code, out = self._sweep_run("fig19", "fig19/compile/li", tmp_path,
+                                    monkeypatch, capsys)
+        assert code == 1
+        assert out.count("DEGRADED") == len(fig19.MEMORY_SYSTEMS)
+        assert ("degraded fig19/li/perfect: ERROR after 0 attempts: "
+                "upstream degraded: fig19/compile/li") in out
 
-        def boom(*args, **kwargs):
-            raise ReproError("compiler exploded")
-
-        runner = ExperimentRunner()
-        monkeypatch.setattr(section2, "compile_source_cached", boom)
-        text = section2.render(runner=runner)
-        assert text.startswith("Section 2 example: DEGRADED")
-        assert "compiler exploded" in text
+    def test_section2_degraded_render(self, tmp_path, monkeypatch, capsys):
+        code, out = self._sweep_run("section2", "section2", tmp_path,
+                                    monkeypatch, capsys)
+        assert code == 1
+        assert "section2: ERROR after 1 attempt: OSError" in out
+        assert out.rstrip().endswith("Section 2 example: DEGRADED")

@@ -49,6 +49,13 @@ def _record_wall_limit(wall_limit=None):
     return wall_limit
 
 
+def _die_in_worker(parent_pid, value):
+    """Kills any pool worker that runs it; returns ``value`` in-process."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return value
+
+
 def _write_pid_and_hang(path):
     """Pool-worker job that records its pid then wedges forever."""
     with open(path, "w") as handle:
@@ -216,19 +223,6 @@ class TestResume:
         sweep = Scheduler(dag2, journal=Journal(journal_path)).run()
         assert sweep["a"].status == "ok"
         assert sweep["a"].value == 2
-
-    def test_name_keying_resumes_across_changed_args(self, tmp_path):
-        dag1 = JobDAG("d")
-        dag1.job("a", _value, 1)
-        journal_path = tmp_path / "j"
-        Scheduler(dag1, journal=Journal(journal_path),
-                  key_by="name").run()
-        dag2 = JobDAG("d")
-        dag2.job("a", _value, 2)
-        sweep = Scheduler(dag2, journal=Journal(journal_path),
-                          key_by="name").run()
-        assert sweep["a"].status == "resumed"
-        assert sweep["a"].value == 1  # legacy semantics: name wins
 
     def test_failed_jobs_are_recorded_but_not_resumed(self, tmp_path):
         dag = JobDAG("d")
@@ -464,3 +458,20 @@ class TestPoolDegradation:
         _session_id, tags, _segment = sweep.value("probe")
         assert tags["degraded"] == "no process primitives"
         assert "->inline" in tags["executor"]
+
+    def test_broken_pool_degrades_to_inline(self):
+        from repro.orchestrate.executors import MAX_POOL_DEATHS
+        dag = JobDAG("d")
+        dag.job("a", _die_in_worker, os.getpid(), 5)
+        executor = PoolExecutor(max_workers=1)
+        try:
+            sweep = Scheduler(dag, executor=executor,
+                              retries=MAX_POOL_DEATHS).run()
+        finally:
+            executor.shutdown()
+        # Each pool death is retried on a rebuilt pool; after the last
+        # one the executor finishes the job in-process.
+        assert sweep.value("a") == 5
+        assert executor.degraded_reason in (
+            f"{MAX_POOL_DEATHS} pool deaths", "no process primitives")
+        assert "->inline" in sweep["a"].executor

@@ -133,20 +133,41 @@ class TestHarnessCacheRegression:
 
 
 class TestParallelCompile:
-    def test_sequential_fallback_populates_cache(self, cache):
-        from repro.pipeline.parallel import compile_kernels
-        results = compile_kernels(["li", "adpcm_e"], levels=("none",),
-                                  cache=cache, parallel=False)
-        assert set(results) == {("li", "none"), ("adpcm_e", "none")}
-        assert all(p is not None for p in results.values())
-        assert cache.stats()["entries"] == 2
+    """Harness compile jobs (``compile_warm``) fill the disk cache that
+    later runs, and the cells of the same run, load from."""
 
-    def test_warm_results_load_from_cache(self, cache):
-        from repro.pipeline.parallel import compile_kernels
-        compile_kernels(["li"], levels=("none",), cache=cache,
-                        parallel=False)
-        hits_before = cache.hits
-        again = compile_kernels(["li"], levels=("none",), cache=cache,
-                                parallel=False)
-        assert cache.hits > hits_before
-        assert again[("li", "none")] is not None
+    @pytest.fixture(autouse=True)
+    def _isolated(self, cache, monkeypatch):
+        from repro.harness import cache as harness_cache
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache.root))
+        monkeypatch.setattr(harness_cache, "_MEMORY", {})
+
+    @staticmethod
+    def _compile_dag(kernels):
+        from repro.harness.sweep import compile_warm
+        from repro.orchestrate.dag import JobDAG
+        dag = JobDAG("compile")
+        for name in kernels:
+            dag.job(f"compile/{name}", compile_warm, name, ("none",),
+                    category="compile")
+        return dag
+
+    def test_sequential_fallback_populates_cache(self, cache):
+        from repro.harness.cache import compiled
+        from repro.harness.sweep import run_sweep
+        sweep = run_sweep(self._compile_dag(["li", "adpcm_e"]))
+        assert sweep.ok
+        assert cache.stats()["entries"] == 2
+        for name in ("li", "adpcm_e"):
+            assert compiled(name, "none").program is not None
+
+    def test_warm_results_load_from_cache(self, cache, monkeypatch):
+        from repro.harness import cache as harness_cache
+        from repro.harness.sweep import run_sweep
+        run_sweep(self._compile_dag(["li"]))
+        # A fresh process (empty in-process layer) compiles from disk.
+        monkeypatch.setattr(harness_cache, "_MEMORY", {})
+        run_sweep(self._compile_dag(["li"]))
+        again = harness_cache.compiled("li", "none")
+        assert again.program.report.cache_status == "hit"
+        assert cache.stats()["entries"] == 1

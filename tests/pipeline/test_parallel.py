@@ -1,12 +1,21 @@
-"""Parallel kernel compilation: per-job isolation and failure reporting."""
+"""Parallel harness jobs: per-job isolation and failure reporting.
+
+Kernel compilation and sweep cells run as scheduler jobs, inline or on
+the process pool; these tests pin what a batch guarantees either way.
+"""
 
 import os
 
 import pytest
 
-from repro.errors import ParallelCompilationError
+from repro.errors import ReproError
+from repro.harness import cache as harness_cache
+from repro.harness import table2
+from repro.harness.sweep import compile_warm, gather_rows, run_sweep
+from repro.orchestrate.dag import JobDAG
+from repro.orchestrate.executors import PoolExecutor
+from repro.orchestrate.scheduler import Scheduler
 from repro.pipeline.cache import CompilationCache
-from repro.pipeline.parallel import compile_kernels, run_jobs
 from repro.programs import Kernel
 
 GOOD_SOURCE = """
@@ -20,82 +29,81 @@ void f(int n) { return n; }
 """
 
 
-def fake_registry(monkeypatch):
+@pytest.fixture
+def fake_registry(monkeypatch, tmp_path):
+    """``goodk``/``badk`` in the harness registry, compiled into a
+    private disk cache with an empty in-process layer."""
     kernels = {
         "goodk": Kernel(name="goodk", family="synthetic",
                         source=GOOD_SOURCE, entry="f"),
         "badk": Kernel(name="badk", family="synthetic",
                        source=BAD_SOURCE, entry="f"),
     }
+    monkeypatch.setattr(harness_cache, "get_kernel", kernels.__getitem__)
+    monkeypatch.setattr(harness_cache, "_MEMORY", {})
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cc"))
+    return CompilationCache(tmp_path / "cc")
 
-    def get_kernel(name):
-        return kernels[name]
 
-    monkeypatch.setattr("repro.programs.get_kernel", get_kernel)
-    return kernels
+def compile_dag(kernels, levels=("none",)) -> JobDAG:
+    dag = JobDAG("compile")
+    for name in kernels:
+        dag.job(f"compile/{name}", compile_warm, name, levels,
+                category="compile")
+    return dag
 
 
 class TestBatchCompletion:
-    def test_all_good_kernels_compile(self, monkeypatch, tmp_path):
-        fake_registry(monkeypatch)
-        results = compile_kernels(["goodk"], levels=("none", "full"),
-                                  cache=CompilationCache(tmp_path),
-                                  parallel=False)
-        assert set(results) == {("goodk", "none"), ("goodk", "full")}
-        assert results[("goodk", "none")].graph is not None
+    def test_all_good_kernels_compile(self, fake_registry):
+        sweep = run_sweep(compile_dag(["goodk"], levels=("none", "full")))
+        assert sweep.ok
+        for level in ("none", "full"):
+            assert harness_cache.compiled("goodk", level).program.graph \
+                is not None
+        assert fake_registry.stats()["entries"] == 2
 
-    def test_one_bad_kernel_does_not_abort_the_batch(self, monkeypatch,
-                                                     tmp_path):
-        fake_registry(monkeypatch)
-        cache = CompilationCache(tmp_path)
-        with pytest.raises(ParallelCompilationError) as info:
-            compile_kernels(["goodk", "badk"], levels=("none",),
-                            cache=cache, parallel=False)
-        error = info.value
-        # Only the bad kernel failed, and it is named with its level.
-        assert set(error.failures) == {("badk", "none")}
-        assert "badk/none" in str(error)
-        # The batch drained: the good kernel's artifact landed in cache,
-        # so a retry without the bad kernel is warm.
-        results = compile_kernels(["goodk"], levels=("none",),
-                                  cache=cache, parallel=False)
-        assert ("goodk", "none") in results
+    def test_one_bad_kernel_does_not_abort_the_batch(self, fake_registry,
+                                                     monkeypatch):
+        sweep = Scheduler(compile_dag(["badk", "goodk"])).run()
+        # Only the bad kernel failed, and it is named.
+        assert [result.name for result in sweep.degraded] == ["compile/badk"]
+        assert sweep["compile/goodk"].status == "ok"
+        # The batch drained: the good kernel's artifact landed in the
+        # disk cache, so a retry without the bad kernel is warm.
+        assert fake_registry.stats()["entries"] == 1
+        monkeypatch.setattr(harness_cache, "_MEMORY", {})
+        run_sweep(compile_dag(["goodk"]))
+        again = harness_cache.compiled("goodk", "none")
+        assert again.program.report.cache_status == "hit"
 
-    def test_failures_carry_the_original_exception(self, monkeypatch,
-                                                   tmp_path):
-        fake_registry(monkeypatch)
-        with pytest.raises(ParallelCompilationError) as info:
-            compile_kernels(["badk"], levels=("none",),
-                            cache=CompilationCache(tmp_path),
-                            parallel=False)
-        ((key, cause),) = info.value.failures.items()
-        assert key == ("badk", "none")
-        assert isinstance(cause, Exception)
-        assert str(cause) in str(info.value)
+    def test_failures_carry_the_original_exception(self, fake_registry):
+        result = Scheduler(compile_dag(["badk"])).run()["compile/badk"]
+        assert result.status == "error" and result.attempts == 1
+        assert isinstance(result.exception, ReproError)
+        assert str(result.exception) in result.error
+        # The raising entry point re-raises the exception itself, not a
+        # wrapper around its message.
+        with pytest.raises(type(result.exception)) as info:
+            run_sweep(compile_dag(["badk"]))
+        assert str(info.value) == str(result.exception)
 
-    def test_warm_cache_short_circuits(self, monkeypatch, tmp_path):
-        fake_registry(monkeypatch)
-        cache = CompilationCache(tmp_path)
-        first = compile_kernels(["goodk"], levels=("none",), cache=cache,
-                                parallel=False)
-        second = compile_kernels(["goodk"], levels=("none",), cache=cache,
-                                 parallel=False)
-        assert first.keys() == second.keys()
+    def test_warm_cache_short_circuits(self, fake_registry, monkeypatch):
+        run_sweep(compile_dag(["goodk"]))
+        monkeypatch.setattr(harness_cache, "_MEMORY", {})
+        run_sweep(compile_dag(["goodk"]))
+        assert harness_cache.compiled("goodk", "none").program.report \
+            .cache_status == "hit"
+        assert fake_registry.stats()["entries"] == 1
 
 
 class TestRealRegistryParallel:
-    def test_parallel_matches_serial(self, tmp_path):
-        # A real (tiny) kernel through the pool path; in sandboxes
-        # without process primitives this transparently falls back to
-        # in-process compilation — the result dict must be identical.
-        cache = CompilationCache(tmp_path)
-        parallel = compile_kernels(["mpeg2_d", "ijpeg"], levels=("none",),
-                                   cache=cache, parallel=True,
-                                   max_workers=2)
-        serial = compile_kernels(["mpeg2_d", "ijpeg"], levels=("none",),
-                                 cache=cache, parallel=False)
-        assert parallel.keys() == serial.keys()
-        assert set(parallel) == {("mpeg2_d", "none"), ("ijpeg", "none")}
+    def test_parallel_matches_serial(self):
+        # Through the process-pool executor (or its in-process fallback
+        # where the sandbox has no process primitives): same rows, same
+        # order.
+        kernels = ("mpeg2_d", "li")
+        assert table2.table2(kernels=kernels, parallel=True,
+                             max_workers=2) == table2.table2(kernels=kernels)
 
 
 def _square(x):
@@ -111,88 +119,99 @@ def _touch_and_maybe_fail(workdir, index, bad):
     return index
 
 
+def _compile_counted(workdir, name, source):
+    """Compile job that records each execution in ``ran-<name>``."""
+    with open(os.path.join(workdir, f"ran-{name}"), "a") as handle:
+        handle.write("x")
+    harness_cache.compile_source_cached(source, "f", level="none",
+                                        use_disk=False)
+    return name
+
+
+def _square_rows(values) -> JobDAG:
+    dag = JobDAG("rows")
+    cells = []
+    for index, value in enumerate(values):
+        cells.append(f"cell{index}")
+        dag.job(cells[-1], _square, value, category="cell")
+    dag.job("rows", gather_rows, deps=tuple(cells), category="aggregate",
+            tolerant=True, pass_deps=True, transient=True)
+    return dag
+
+
+def _marker_dag(workdir, count, bad) -> JobDAG:
+    dag = JobDAG("d")
+    for index in range(count):
+        dag.job(f"j{index}", _touch_and_maybe_fail, str(workdir), index, bad)
+    return dag
+
+
 class TestRunJobs:
     def test_results_in_input_order(self):
-        assert run_jobs(_square, [(3,), (1,), (2,)],
-                        max_workers=2) == [9, 1, 4]
+        sweep = run_sweep(_square_rows([3, 1, 2]), parallel=True,
+                          max_workers=2)
+        assert sweep.value("rows") == [9, 1, 4]
 
     def test_serial_fallback_matches(self):
-        jobs = [(i,) for i in range(5)]
-        assert run_jobs(_square, jobs, parallel=False) == \
-            run_jobs(_square, jobs, max_workers=2)
+        values = list(range(5))
+        serial = run_sweep(_square_rows(values)).value("rows")
+        assert serial == run_sweep(_square_rows(values), parallel=True,
+                                   max_workers=2).value("rows")
 
     def test_failed_jobs_execute_exactly_once(self, tmp_path):
         """A worker-raised job is reported, never re-run in-process.
 
-        The old wrapper re-executed every failed job serially, so a
-        deterministic failure ran twice; the marker files count actual
-        executions.
+        The marker files count actual executions.
         """
-        jobs = [(str(tmp_path), index, 2) for index in range(4)]
-        with pytest.raises(ValueError, match="job 2 is bad"):
-            run_jobs(_touch_and_maybe_fail, jobs, max_workers=2)
+        executor = PoolExecutor(max_workers=2)
+        try:
+            sweep = Scheduler(_marker_dag(tmp_path, 4, 2),
+                              executor=executor).run()
+        finally:
+            executor.shutdown()
+        failed = sweep["j2"]
+        assert failed.status == "error" and failed.attempts == 1
+        assert "job 2 is bad" in failed.error
+        assert isinstance(failed.exception, ValueError)
+        assert [sweep.value(f"j{i}") for i in (0, 1, 3)] == [0, 1, 3]
         for index in range(4):
             marker = tmp_path / f"ran-{index}"
             assert marker.read_text() == "x", \
                 f"job {index} executed {len(marker.read_text())} times"
 
     def test_failure_raises_but_batch_drains_first(self, tmp_path):
-        jobs = [(str(tmp_path), index, 0) for index in range(4)]
         with pytest.raises(ValueError, match="job 0 is bad"):
-            run_jobs(_touch_and_maybe_fail, jobs, max_workers=2)
+            run_sweep(_marker_dag(tmp_path, 4, 0), parallel=True,
+                      max_workers=2)
         # Every job after the failing one still ran (no aborted tail).
         for index in range(4):
-            assert (tmp_path / f"ran-{index}").exists()
+            assert (tmp_path / f"ran-{index}").read_text() == "x"
 
     def test_serial_path_raises_too(self, tmp_path):
-        jobs = [(str(tmp_path), index, 1) for index in range(2)]
         with pytest.raises(ValueError, match="job 1 is bad"):
-            run_jobs(_touch_and_maybe_fail, jobs, parallel=False)
+            run_sweep(_marker_dag(tmp_path, 2, 1))
+        for index in range(2):
+            assert (tmp_path / f"ran-{index}").read_text() == "x"
 
 
 class TestCompileFailuresNotRerun:
     def test_worker_compile_failure_not_recompiled_in_process(
-            self, tmp_path, monkeypatch):
-        """A kernel that failed in a worker is reported, not re-run.
-
-        The pool stage is stubbed to report ``badk`` as a worker-raised
-        failure; the in-process drain must then compile only ``goodk``
-        and surface the worker's original exception for ``badk``.
-        """
-        fake_registry(monkeypatch)
-        import repro.pipeline.parallel as parallel_module
-        from repro.errors import ReproError
-
-        worker_error = ReproError("failed inside the worker")
-        in_process = []
-        real = parallel_module._compile_job
-
-        def fake_pool(pending, workers):
-            return {("badk", "none"): worker_error}
-
-        def counting(job):
-            in_process.append(job[:2])
-            return real(job)
-
-        monkeypatch.setattr(parallel_module, "_compile_in_pool", fake_pool)
-        monkeypatch.setattr(parallel_module, "_compile_job", counting)
-        cache = CompilationCache(tmp_path)
-        with pytest.raises(ParallelCompilationError) as info:
-            compile_kernels(["goodk", "badk"], levels=("none",),
-                            cache=cache, parallel=True, max_workers=2)
-        assert info.value.failures[("badk", "none")] is worker_error
-        # badk was never handed to the in-process compile path.
-        assert in_process == [("goodk", "none")]
-
-
-class TestErrorFormatting:
-    def test_message_lists_every_failure(self):
-        error = ParallelCompilationError({
-            ("go", "full"): ValueError("boom"),
-            ("li", "none"): RuntimeError("bang"),
-        })
-        text = str(error)
-        assert "2 kernel compilations failed" in text
-        assert "go/full: boom" in text
-        assert "li/none: bang" in text
-        assert error.failures[("go", "full")].args == ("boom",)
+            self, tmp_path):
+        """A kernel that failed to compile in a worker is reported with
+        the worker's exception and never compiled again in-process."""
+        dag = JobDAG("compile")
+        dag.job("compile/goodk", _compile_counted, str(tmp_path), "goodk",
+                GOOD_SOURCE, category="compile")
+        dag.job("compile/badk", _compile_counted, str(tmp_path), "badk",
+                BAD_SOURCE, category="compile")
+        executor = PoolExecutor(max_workers=2)
+        try:
+            sweep = Scheduler(dag, executor=executor, retries=2).run()
+        finally:
+            executor.shutdown()
+        assert sweep.value("compile/goodk") == "goodk"
+        failed = sweep["compile/badk"]
+        assert failed.status == "error" and failed.attempts == 1
+        assert isinstance(failed.exception, ReproError)
+        for name in ("goodk", "badk"):
+            assert (tmp_path / f"ran-{name}").read_text() == "x"

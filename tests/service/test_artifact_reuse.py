@@ -85,6 +85,16 @@ def test_concurrent_simulates_of_one_artifact(service, engine):
     assert len(jobs._ARTIFACTS) == 1
 
 
+def test_row_names_the_engine_the_environment_selects(service,
+                                                     monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "codegen")
+    client = ServiceClient(port=service.port, client_id="env-engine")
+    outcome = client.simulate(SOURCE, "kernel", args=[4])
+    assert outcome.result["engine"] == "codegen"
+    assert outcome.value == \
+        compile_minic(SOURCE, "kernel").run_sequential([4]).return_value
+
+
 def _publish(root, sources) -> list[str]:
     cache = CompilationCache(root)
     driver = CompilerDriver(PipelineConfig(), cache=cache)

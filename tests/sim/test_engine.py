@@ -13,6 +13,8 @@ event-limit overruns. Determinism is asserted separately: the same
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import compile_minic
@@ -20,14 +22,15 @@ from repro.api import SIM_ENGINES, resolve_engine
 from repro.errors import DeadlockError, EventLimitError
 from repro.harness.cache import compiled
 from repro.harness.section2 import SECTION2_SOURCE
+from repro.observe.probes import HistoryRing, ProbeBus
 from repro.programs import get_kernel
 from repro.resilience.faults import SHAKE_EVERYTHING
 from repro.sim import codegen as codegen_mod
 from repro.sim import plan as plan_mod
 from repro.sim.codegen import CodegenEngine
-from repro.sim.dataflow import DataflowSimulator
-from repro.sim.engine import CompiledEngine
-from repro.sim.memsys import PERFECT_MEMORY, REALISTIC_2PORT
+from repro.sim.dataflow import DataflowResult, DataflowSimulator
+from repro.sim.engine import CompiledEngine, _CalendarQueue
+from repro.sim.memsys import MemorySystem, PERFECT_MEMORY, REALISTIC_2PORT
 from repro.sim.plan import plan_for
 
 from tests.resilience.fixtures import cyclic_wait_graph, starved_chain_graph
@@ -202,6 +205,75 @@ class TestErrorParity:
             CompiledEngine(plan).run([])
 
 
+class TestEmptyProbeBus:
+    """An empty bus is no bus: the same result and the same fast path."""
+
+    @staticmethod
+    def _every_field(result) -> dict:
+        seen = {field.name: getattr(result, field.name)
+                for field in dataclasses.fields(DataflowResult)}
+        seen["memory"] = result.memory.snapshot()
+        return seen
+
+    @pytest.mark.parametrize("engine", ["interp", *ENGINES])
+    @pytest.mark.parametrize("config", SYSTEMS, ids=lambda c: c.name)
+    def test_bit_identical_to_no_bus(self, engine, config):
+        kernel = get_kernel("li")
+        program = compiled("li", "full").program
+        bare = program.simulate(list(kernel.args), memsys=config,
+                                engine=engine)
+        empty = program.simulate(list(kernel.args), memsys=config,
+                                 engine=engine, probes=ProbeBus())
+        assert self._every_field(empty) == self._every_field(bare)
+
+    @pytest.mark.parametrize("executor", [CompiledEngine, CodegenEngine])
+    def test_runs_the_fast_path(self, executor):
+        program = compiled("li", "full").program
+        memsys = MemorySystem(PERFECT_MEMORY)
+        engine = executor(program.sim_plan(), memory=program.new_memory(),
+                          memsys=memsys, probes=ProbeBus())
+        assert type(engine) is executor  # codegen did not delegate
+        engine.run(list(get_kernel("li").args))
+        assert isinstance(engine._scheduler, _CalendarQueue)
+        assert memsys.probes is None
+        assert memsys.perfect_issue() is not None
+
+    def test_memory_listener_keeps_the_fast_path(self):
+        class MemTap:
+            def __init__(self):
+                self.accesses = []
+
+            def on_mem_access(self, *event):
+                self.accesses.append(event)
+
+        kernel = get_kernel("li")
+        program = compiled("li", "full").program
+        streams = {}
+        for engine in ("interp", *ENGINES):
+            bus = ProbeBus()
+            tap = bus.subscribe(MemTap())
+            program.simulate(list(kernel.args), memsys=REALISTIC_2PORT,
+                             engine=engine, probes=bus)
+            streams[engine] = tap.accesses
+        assert streams["interp"]
+        assert all(stream == streams["interp"]
+                   for stream in streams.values())
+        bus = ProbeBus()
+        bus.subscribe(MemTap())
+        assert type(CodegenEngine(program.sim_plan(),
+                                  probes=bus)) is CodegenEngine
+
+    def test_fire_listener_takes_the_instrumented_path(self):
+        program = compiled("li", "full").program
+        bus = ProbeBus()
+        bus.subscribe(HistoryRing(8))
+        engine = CodegenEngine(program.sim_plan(),
+                               memory=program.new_memory(), probes=bus)
+        assert type(engine) is CompiledEngine
+        engine.run(list(get_kernel("li").args))
+        assert isinstance(engine._scheduler, list)  # the seq-keyed heap
+
+
 class TestDeterminism:
     """Same program, same seed/config, run twice: bit-identical."""
 
@@ -296,8 +368,11 @@ class TestCodegenLifecycle:
         faulted = CodegenEngine(program.graph,
                                 faults=SHAKE_EVERYTHING.with_seed(3))
         assert type(faulted) is CompiledEngine
-        from repro.observe import ProbeBus
-        probed = CodegenEngine(program.graph, probes=ProbeBus())
+        # A bus with a fire listener delegates; an empty one runs the
+        # generated module (TestEmptyProbeBus).
+        bus = ProbeBus()
+        bus.subscribe(HistoryRing(4))
+        probed = CodegenEngine(program.graph, probes=bus)
         assert type(probed) is CompiledEngine
 
     def test_probe_fallback_profile_parity(self):
